@@ -148,9 +148,9 @@ def masked_projection(
     lo = np.clip(grid[best] - step, 0.0, 1.0)
     hi = np.clip(grid[best] + step, 0.0, 1.0)
 
-    def objective(s: np.ndarray) -> np.ndarray:
-        pts = curve.evaluate(s)  # (d, n)
-        diff = (filled - pts.T) * observed
+    def objective(s: np.ndarray, rows) -> np.ndarray:
+        pts = curve.evaluate(s)  # (d, len(s))
+        diff = (filled[rows] - pts.T) * observed[rows]
         return np.sum(diff**2, axis=1)
 
     s_opt, _ = golden_section_search_batch(objective, lo, hi, tol=tol)

@@ -310,9 +310,10 @@ class CompiledProjection:
     ) -> np.ndarray:
         """Batched GSS on the compiled distances within ``[lo, hi]``.
 
-        Both interior points of every iteration are evaluated in one
-        fused Horner pass (see ``pair_func`` in
-        :func:`golden_section_search_batch`).  Under float32 the
+        Both initial interior points are evaluated in one fused Horner
+        pass (see ``pair_func`` in :func:`golden_section_search_batch`);
+        each later iteration evaluates only the coefficient rows whose
+        search is still running.  Under float32 the
         convergence tolerance is clamped to a few float32 ulps (an
         exact no-op for float64 defaults) so already-converged rows
         don't spin against a sub-resolution threshold.
@@ -320,7 +321,9 @@ class CompiledProjection:
         prof = _active_profile()
         t0 = time.perf_counter() if prof is not None else 0.0
         s_opt, _ = golden_section_search_batch(
-            self.distance,
+            lambda s, rows: self._backend.horner_pointwise(
+                self.coeffs[rows], s
+            ),
             np.asarray(lo, dtype=self.dtype),
             np.asarray(hi, dtype=self.dtype),
             tol=max(tol, 4.0 * float(np.finfo(self.dtype).eps)),

@@ -12,11 +12,15 @@ projection step.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
+
+#: How :func:`golden_section_search_batch` names the searches still
+#: running: a full slice, or the integer indices of the survivors.
+Rows = Union[slice, np.ndarray]
 
 #: The inverse golden ratio, (sqrt(5) - 1) / 2.
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -88,7 +92,7 @@ def golden_section_search(
 
 
 def golden_section_search_batch(
-    func: Callable[[np.ndarray], np.ndarray],
+    func: Callable[[np.ndarray, Rows], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float = 1e-8,
@@ -97,15 +101,18 @@ def golden_section_search_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run ``n`` independent golden-section searches simultaneously.
 
-    ``func`` must accept a vector ``s`` of shape ``(n,)`` and return the
-    per-element objective values, also shape ``(n,)``.  Element ``i`` of
+    ``func(s, rows)`` evaluates the objective of the searches still
+    running: ``rows`` indexes them within the batch (a full slice until
+    the first search converges, then an integer array) and ``s`` holds
+    one point per selected search, so ``func`` returns
+    ``objective[rows](s)`` with the shape of ``s``.  Element ``i`` of
     the search never mixes with element ``j``; the vectorisation is a
     pure speed optimisation over a Python loop of scalar searches.
 
     Parameters
     ----------
     func:
-        Vectorised objective.
+        Vectorised objective over the active searches, see above.
     lo, hi:
         Per-search bracket endpoints, each shape ``(n,)``.
     tol, max_iter:
@@ -127,20 +134,19 @@ def golden_section_search_batch(
     Notes
     -----
     The loop follows the textbook value-reuse scheme, vectorised: per
-    iteration exactly one fresh interior point is evaluated per search
-    (the surviving point's objective value is carried over, not
-    recomputed), so an iteration costs one ``func`` call over ``(n,)``
-    plus branch-free ``np.where`` bookkeeping.
+    iteration exactly one fresh interior point is evaluated per active
+    search (the surviving point's objective value is carried over, not
+    recomputed).
 
-    Each search freezes the moment *its own* bracket width reaches
-    ``tol`` — not when the whole batch does.  A row therefore runs an
-    iteration count determined solely by its own initial bracket, which
+    Each search stops the moment *its own* bracket width reaches
+    ``tol`` — not when the whole batch does: its answer is recorded and
+    it leaves the work arrays, so later iterations (and ``func`` calls)
+    only cover the searches still running.  A row therefore runs an
+    iteration count determined solely by its own initial bracket, with
+    the same elementwise arithmetic whoever shares its batch, which
     makes the result bit-identical however the rows are batched
     (chunked vs one-shot scoring, and the serving micro-batcher that
-    coalesces rows from unrelated requests).  The earlier
-    batch-wide termination kept shrinking already-converged rows while
-    slower batchmates finished, so the same row could come back with
-    different last bits depending on what it shared a batch with.
+    coalesces rows from unrelated requests).
 
     The search is dtype-preserving: float32 brackets (both ``lo`` and
     ``hi``) keep the whole search in float32 for the opt-in float32
@@ -172,42 +178,46 @@ def golden_section_search_batch(
     h = b - a
     c = a + inv_phi2 * h
     d = a + inv_phi * h
+    rows = slice(None)  # the active searches, as an index into the batch
     if pair_func is not None:
         fcd = pair_func(np.stack([c, d], axis=-1))
         fc, fd = fcd[..., 0], fcd[..., 1]
     else:
-        fc = func(c)
-        fd = func(d)
+        fc = func(c, rows)
+        fd = func(d, rows)
 
-    active = h > tol
+    x = np.empty_like(a)
+    fx = np.empty_like(a)
     for _ in range(max_iter):
-        if not np.any(active):
-            break
+        active = h > tol
+        n_active = np.count_nonzero(active)
+        if n_active < active.size:
+            # Record the searches that just converged and drop them.
+            if isinstance(rows, slice):
+                rows = np.arange(a.size)
+            done = ~active
+            x[rows[done]] = np.where(fc[done] < fd[done], c[done], d[done])
+            fx[rows[done]] = np.minimum(fc[done], fd[done])
+            rows = rows[active]
+            a, b, c, d, fc, fd = (v[active] for v in (a, b, c, d, fc, fd))
+        if n_active == 0:
+            return x, fx
         left = fc < fd
         # Where the left interior point wins, shrink the bracket to
         # [a, d] and reuse c (with its known value fc) as the new right
         # interior point; elsewhere shrink to [c, b] and reuse d as the
         # new left interior point.  Only the remaining interior point is
         # fresh, so each iteration costs a single objective evaluation.
-        # Rows whose own bracket already reached ``tol`` are frozen in
-        # place (batch-split invariance — see Notes).
-        a = np.where(active & ~left, c, a)
-        b = np.where(active & left, d, b)
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
         h = b - a
-        fresh = np.where(left, a + inv_phi2 * h, a + inv_phi * h)
-        f_fresh = func(fresh)
-        c, d = (
-            np.where(active, np.where(left, fresh, d), c),
-            np.where(active, np.where(left, c, fresh), d),
-        )
-        fc, fd = (
-            np.where(active, np.where(left, f_fresh, fd), fc),
-            np.where(active, np.where(left, fc, f_fresh), fd),
-        )
-        active = h > tol
-
-    x = np.where(fc < fd, c, d)
-    fx = np.minimum(fc, fd)
+        fresh = a + np.where(left, inv_phi2, inv_phi) * h
+        f_fresh = func(fresh, rows)
+        c, d = np.where(left, fresh, d), np.where(left, c, fresh)
+        fc, fd = np.where(left, f_fresh, fd), np.where(left, fc, f_fresh)
+    # Iteration cap reached: record the searches still running.
+    x[rows] = np.where(fc < fd, c, d)
+    fx[rows] = np.minimum(fc, fd)
     return x, fx
 
 

@@ -502,6 +502,13 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     server: ScoringHTTPServer
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Buffer every response (status line, headers, body) so it leaves
+    # in one write: ``_send_body`` flushes once at the end, and the
+    # stdlib paths (``send_error``) are flushed by ``handle_one_request``
+    # or ``finish``.  Two small writes per response let Nagle's
+    # algorithm hold the second until the client's delayed ACK — a
+    # ~40 ms stall on every keep-alive request.
+    wbufsize = -1
 
     def setup(self) -> None:
         # Idle keep-alive connections must not pin handler threads
@@ -513,6 +520,9 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         self.timeout = self.server.keepalive_timeout
         self._between_requests = True
         super().setup()
+        # Writes that still leave in pieces (a body larger than the
+        # write buffer) must not wait on Nagle either.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.server._track_handler(self)
 
     def finish(self) -> None:
@@ -1109,6 +1119,15 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
+
+    def handle_expect_100(self) -> bool:
+        # The interim ``100 Continue`` must reach the client now — it
+        # is waiting for it before sending the body this handler reads
+        # next — not sit in the write buffer.
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence the default stderr access log; /metrics covers it."""

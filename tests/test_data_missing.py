@@ -122,6 +122,25 @@ class TestMaskedProjection:
         s_hat = masked_projection(curve, X_masked, observed)
         np.testing.assert_allclose(s_hat, s_true, atol=1e-3)
 
+    def test_mixed_convergence_batch_matches_rows_alone(self, curve, rng):
+        # Rows near the curve's ends get half-width (clipped) brackets
+        # and leave the search early; the rest keep running on the
+        # compacted batch, fed only their own data and masks.  The
+        # objective evaluates the curve with a BLAS product whose last
+        # bits depend on the column count, so rows agree to the
+        # resolution GSS has on a squared distance (~sqrt(eps)), not
+        # bit for bit; a row fed another row's data would be far off.
+        ends = curve.evaluate(np.array([0.0, 1.0])).T
+        X = np.vstack([ends + 0.01, rng.uniform(size=(10, 2))])
+        observed = np.ones_like(X, dtype=bool)
+        observed[::3, 1] = False
+        s_batch = masked_projection(curve, X, observed)
+        s_alone = np.concatenate([
+            masked_projection(curve, X[i : i + 1], observed[i : i + 1])
+            for i in range(len(X))
+        ])
+        np.testing.assert_allclose(s_batch, s_alone, rtol=0, atol=1e-7)
+
     def test_empty_row_rejected(self, curve):
         X = np.array([[np.nan, np.nan]])
         observed = np.zeros_like(X, dtype=bool)

@@ -65,8 +65,8 @@ class TestBatchGSS:
     def test_matches_scalar_results(self):
         targets = np.array([0.1, 0.35, 0.5, 0.72, 0.99])
 
-        def objective(s):
-            return (s - targets) ** 2
+        def objective(s, rows):
+            return (s - targets[rows]) ** 2
 
         lo = np.zeros(5)
         hi = np.ones(5)
@@ -79,41 +79,89 @@ class TestBatchGSS:
         targets = np.array([0.2, 0.8])
         lo = np.array([0.0, 0.5])
         hi = np.array([0.5, 1.0])
-        x, _ = golden_section_search_batch(lambda s: (s - targets) ** 2, lo, hi)
+        x, _ = golden_section_search_batch(
+            lambda s, rows: (s - targets[rows]) ** 2, lo, hi
+        )
         np.testing.assert_allclose(x, targets, atol=1e-6)
 
     def test_clamps_to_bracket_when_min_outside(self):
         # True min at 0.9 but bracket ends at 0.5.
         x, _ = golden_section_search_batch(
-            lambda s: (s - 0.9) ** 2, np.array([0.0]), np.array([0.5])
+            lambda s, rows: (s - 0.9) ** 2, np.array([0.0]), np.array([0.5])
         )
         assert x[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             golden_section_search_batch(
-                lambda s: s, np.zeros(3), np.ones(2)
+                lambda s, rows: s, np.zeros(3), np.ones(2)
             )
 
     def test_reversed_bracket_raises(self):
         with pytest.raises(ConfigurationError):
             golden_section_search_batch(
-                lambda s: s, np.array([1.0]), np.array([0.0])
+                lambda s, rows: s, np.array([1.0]), np.array([0.0])
             )
 
     def test_degenerate_bracket_is_fine(self):
         # lo == hi: the answer is that point.
         x, _ = golden_section_search_batch(
-            lambda s: (s - 0.3) ** 2, np.array([0.4]), np.array([0.4])
+            lambda s, rows: (s - 0.3) ** 2, np.array([0.4]), np.array([0.4])
         )
         assert x[0] == pytest.approx(0.4)
 
     def test_large_batch(self, rng):
         targets = rng.uniform(0.0, 1.0, size=500)
         x, _ = golden_section_search_batch(
-            lambda s: (s - targets) ** 2, np.zeros(500), np.ones(500)
+            lambda s, rows: (s - targets[rows]) ** 2,
+            np.zeros(500),
+            np.ones(500),
         )
         np.testing.assert_allclose(x, targets, atol=1e-6)
+
+    def test_objective_sees_only_active_rows(self):
+        # Half-width brackets converge before full ones; from then on
+        # the objective is asked only about the searches still running.
+        targets = np.array([0.05, 0.3, 0.6, 0.95, 0.5])
+        lo = np.array([0.0, 0.0, 0.0, 0.5, 0.0])
+        hi = np.array([0.5, 1.0, 1.0, 1.0, 1.0])
+        seen = []
+
+        def objective(s, rows):
+            seen.append(np.arange(5)[rows])
+            return (s - targets[rows]) ** 2
+
+        x, fx = golden_section_search_batch(objective, lo, hi)
+        sizes = [len(r) for r in seen]
+        assert sizes[0] == 5 and sizes[-1] == 3
+        assert sizes == sorted(sizes, reverse=True)
+        np.testing.assert_array_equal(seen[-1], [1, 2, 4])
+        for i in range(5):
+            xi, fxi = golden_section_search_batch(
+                lambda s, rows: (s - targets[i]) ** 2, lo[[i]], hi[[i]]
+            )
+            assert (xi[0], fxi[0]) == (x[i], fx[i])
+
+    def test_empty_batch_never_calls_the_loop_objective(self):
+        calls = []
+
+        def objective(s, rows):
+            calls.append(s.size)
+            return s
+
+        x, fx = golden_section_search_batch(objective, np.zeros(0), np.zeros(0))
+        assert x.shape == fx.shape == (0,)
+        assert calls == [0, 0]  # the two set-up evaluations only
+
+    def test_max_iter_caps_every_search(self):
+        x, _ = golden_section_search_batch(
+            lambda s, rows: (s - 0.9) ** 2,
+            np.zeros(3),
+            np.ones(3),
+            max_iter=0,
+        )
+        # No iteration: the better initial interior point, 1/phi.
+        np.testing.assert_array_equal(x, np.full(3, INV_PHI))
 
 
 class TestBracketedMinimum:

@@ -317,6 +317,54 @@ class TestBackendDtypeAgreement:
         ])
         np.testing.assert_array_equal(split, full)
 
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_mixed_convergence_batch_is_split_invariant(self, degree, dtype):
+        """GSS drops converged rows from its work arrays as they freeze.
+
+        Rows whose grid bracket is clipped to half width at ``s=0`` or
+        ``s=1`` converge iterations before interior rows, so this batch
+        compacts mid-search; duplicates and far-off rows ride along.
+        Every row must come back with the same bits alone, in the whole
+        batch and in a shuffled batch — for the GSS stage itself and
+        for the served ``project_points`` path.
+        """
+        curve, X = _random_curve_and_points(degree, seed=23)
+        rng = np.random.default_rng(degree)
+        d = X.shape[1]
+        ends = curve.evaluate(np.array([0.0, 0.0, 1.0, 1.0])).T
+        X = np.vstack([
+            ends + rng.normal(0.0, 0.01, size=ends.shape),
+            X,
+            X[:4],  # duplicates
+            rng.uniform(-5.0, 6.0, size=(3, d)),  # far off
+        ])
+        perm = rng.permutation(X.shape[0])
+        compiled = ProjectionEngine(curve).compile(X, dtype=dtype)
+        _, lo, hi = compiled.bracket(32)
+        clipped = (lo == 0.0) | (hi == 1.0)
+        assert clipped.any() and not clipped.all()
+
+        gss = compiled.solve_gss(lo, hi, tol=1e-4)
+        alone = np.concatenate([
+            compiled[[i]].solve_gss(lo[[i]], hi[[i]], tol=1e-4)
+            for i in range(len(X))
+        ])
+        np.testing.assert_array_equal(alone, gss)
+        np.testing.assert_array_equal(
+            compiled[perm].solve_gss(lo[perm], hi[perm], tol=1e-4), gss[perm]
+        )
+
+        full = project_points(curve, X, dtype=dtype)
+        alone = np.concatenate([
+            project_points(curve, X[i : i + 1], dtype=dtype)
+            for i in range(len(X))
+        ])
+        np.testing.assert_array_equal(alone, full)
+        np.testing.assert_array_equal(
+            project_points(curve, X[perm], dtype=dtype), full[perm]
+        )
+
     @pytest.mark.skipif(
         numba_available(), reason="numba installed; request succeeds"
     )
@@ -372,8 +420,8 @@ class TestFusedGSS:
         lo = np.zeros(50)
         hi = np.ones(50)
 
-        def func(s):
-            return horner_pointwise(coeffs, s)
+        def func(s, rows):
+            return horner_pointwise(coeffs[rows], s)
 
         x_plain, f_plain = golden_section_search_batch(func, lo, hi)
         x_fused, f_fused = golden_section_search_batch(

@@ -8,9 +8,16 @@ JSON bodies, the 4xx taxonomy, hot reload, and metrics accounting.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -896,3 +903,126 @@ class TestConcurrentScoring:
         assert not errors, f"client threads raised: {errors}"
         for got in results:
             np.testing.assert_array_equal(got, expected)
+
+
+class TestKeepAliveLatency:
+    """Sequential requests on one keep-alive connection must not stall.
+
+    A response written as two small segments (headers, then body) is
+    held back by Nagle's algorithm until the client's delayed ACK of
+    the first — ~40 ms per request, so 50 requests would take > 2 s.
+    The daemon writes each response once and sets ``TCP_NODELAY``;
+    the wall-clock bound below is one the stall cannot meet.
+    """
+
+    N_REQUESTS = 50
+    BOUND_S = 1.0
+
+    def _time_requests(self, host: str, port: int, row) -> tuple:
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        body = json.dumps({"row": list(row)})
+        local_ports = set()
+
+        def one() -> None:
+            conn.request("POST", "/v1/models/demo/score", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            assert "score" in json.loads(response.read())
+            local_ports.add(conn.sock.getsockname()[1])
+
+        try:
+            one()  # connect and warm up outside the timed window
+            started = time.perf_counter()
+            for _ in range(self.N_REQUESTS):
+                one()
+            return time.perf_counter() - started, local_ports
+        finally:
+            conn.close()
+
+    def test_single_process_server(self, fitted, tmp_path):
+        model, X = fitted
+        path = tmp_path / "demo.json"
+        save_model(model, path)
+        registry = ModelRegistry()
+        registry.register("demo", path)
+        server = ScoringHTTPServer(("127.0.0.1", 0), registry)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            elapsed, local_ports = self._time_requests(host, port, X[0])
+            assert len(local_ports) == 1, local_ports
+            assert elapsed < self.BOUND_S, (
+                f"{self.N_REQUESTS} keep-alive requests took {elapsed:.2f}s"
+            )
+            # The server side of an accepted connection has Nagle off.
+            with socket.create_connection((host, port), timeout=5) as probe:
+                probe.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert probe.recv(4096).startswith(b"HTTP/1.1 200")
+                with server._handlers_lock:
+                    handlers = list(server._handlers)
+                assert handlers
+                for handler in handlers:
+                    assert handler.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_expect_100_continue_is_sent_before_the_body(self, served):
+        # Responses are buffered until the end of a request; the interim
+        # 100 must still go out at once, or a client waiting for it
+        # before sending its body would deadlock against the server.
+        base, *_ = served
+        host, port = base[len("http://"):].split(":")
+        body = json.dumps({"row": [0.5, 0.5, 0.5]}).encode()
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/models/demo/score HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            )
+            assert sock.recv(4096).startswith(b"HTTP/1.1 100 Continue")
+            sock.sendall(body)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+
+    def test_worker_pool(self, fitted, tmp_path):
+        model, X = fitted
+        path = tmp_path / "demo.json"
+        save_model(model, path)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "serve",
+                "--model", f"demo={path}", "--port", "0", "--workers", "2",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            match = None
+            while match is None:
+                line = proc.stdout.readline()
+                assert line, "daemon exited before announcing its port"
+                match = re.search(r"on http://[^:]+:(\d+)", line)
+            # The pool announces once bound, before its workers have
+            # loaded models; the untimed warm-up request waits for them.
+            port = int(match.group(1))
+            elapsed, local_ports = self._time_requests("127.0.0.1", port, X[0])
+            assert len(local_ports) == 1, local_ports
+            assert elapsed < self.BOUND_S, (
+                f"{self.N_REQUESTS} keep-alive requests took {elapsed:.2f}s"
+            )
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
